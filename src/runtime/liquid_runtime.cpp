@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <thread>
 
 #include "obs/flight_recorder.h"
@@ -1704,9 +1703,10 @@ void LiquidRuntime::run_inline(RtGraph& g) {
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Work budget per step: FIFO transfers / firings a task performs before
-/// yielding kReady. Bounds step latency so workers interleave tasks fairly
-/// and the deterministic scheduler gets frequent decision points.
+/// Work budget per step: the values a task moves through each of its FIFOs
+/// (and the firings a filter runs) before yielding kReady. Bounds step
+/// latency and per-task buffers, so workers interleave tasks fairly and the
+/// deterministic scheduler gets frequent decision points.
 constexpr size_t kStepQuantum = 256;
 }  // namespace
 
@@ -1716,6 +1716,11 @@ constexpr size_t kStepQuantum = 256;
 /// every queue — then finish the output), exactly like the old per-node
 /// threads. Emits one "task" complete-span covering first step through
 /// retirement so traces keep their per-task rows.
+///
+/// Data moves per step, not per element: a task pops a batch into inbox_,
+/// stages its results in outbox_ and pushes them with one try_push_batch,
+/// so each step takes one lock per FIFO and wakes each neighbour at most
+/// once.
 class LiquidRuntime::NodeTask : public ExecTask {
  public:
   NodeTask(LiquidRuntime& rt, RtGraph* g, std::shared_ptr<ValueFifo> in,
@@ -1753,9 +1758,48 @@ class LiquidRuntime::NodeTask : public ExecTask {
   virtual StepResult run_slice() = 0;
   virtual std::string span_args() const { return {}; }
 
+  /// Sizes inbox_ and outbox_ for one step's batch, capped by the stream
+  /// length, so they never grow inside a step. Called from the
+  /// constructors, on the thread that builds the graph: buffers grown by
+  /// whichever worker runs a step would raise the peak of every worker's
+  /// malloc arena instead of one.
+  void reserve_batches(size_t in_values, size_t out_values) {
+    const size_t n = graph_->nodes.front().array.as_array()->size();
+    inbox_.reserve(std::min(in_values, n));
+    outbox_.reserve(std::min(out_values, n));
+  }
+
+  /// Pushes the staged outbox_ downstream. kReady once it is empty;
+  /// kBlocked after a failed try on a full queue (a partial accept leaves
+  /// the queue full, so the retry is that failed try); kDone when
+  /// downstream closed, after closing our own input so the producer above
+  /// unwinds too.
+  StepResult push_outbox() {
+    while (out_next_ < outbox_.size()) {
+      switch (out_->try_push_batch(outbox_, &out_next_)) {
+        case FifoSignal::kOk:
+          break;
+        case FifoSignal::kWouldBlock:
+          set_block_reason(BlockReason::kPush);
+          return StepResult::kBlocked;
+        default:
+          if (in_) in_->close();
+          return StepResult::kDone;
+      }
+    }
+    outbox_.clear();
+    out_next_ = 0;
+    return StepResult::kReady;
+  }
+
   LiquidRuntime& rt_;
   RtGraph* graph_;
   std::shared_ptr<ValueFifo> in_, out_;
+  /// Popped from in_, not yet consumed (at most one step's worth).
+  std::vector<Value> inbox_;
+  /// Produced for out_; [out_next_, end) is not yet accepted downstream.
+  std::vector<Value> outbox_;
+  size_t out_next_ = 0;
   /// Captured once at construction: the recorder must stay installed for
   /// the graph's lifetime (install/uninstall around whole runs).
   TraceRecorder* rec_;
@@ -1775,75 +1819,59 @@ class LiquidRuntime::SourceTask final : public NodeTask {
  public:
   SourceTask(LiquidRuntime& rt, RtGraph* g, RtNode* node,
              std::shared_ptr<ValueFifo> out)
-      : NodeTask(rt, g, nullptr, std::move(out), "source"), node_(node) {}
+      : NodeTask(rt, g, nullptr, std::move(out), "source"), node_(node) {
+    reserve_batches(0, kStepQuantum);
+  }
 
  protected:
   StepResult run_slice() override {
-    const bc::ArrayRef& src = node_->array.as_array();
-    for (size_t budget = kStepQuantum; budget > 0; --budget) {
-      if (i_ >= src->size()) {
+    if (outbox_.empty()) {
+      const bc::ArrayRef& src = node_->array.as_array();
+      if (i_ == src->size()) {
         out_->finish();
         return StepResult::kDone;
       }
-      // The element is staged across a kWouldBlock park: try_push consumes
-      // it only on kOk, so nothing is lost or duplicated.
-      if (!staged_) {
-        v_ = bc::array_get(*src, i_);
-        staged_ = true;
-      }
-      switch (out_->try_push(v_)) {
-        case FifoSignal::kOk:
-          staged_ = false;
-          ++i_;
-          ++pushed_;
-          break;
-        case FifoSignal::kWouldBlock:
-          set_block_reason(BlockReason::kPush);
-          return StepResult::kBlocked;
-        default:  // kShutdown: downstream died, nothing left to do here
-          return StepResult::kDone;
-      }
+      const size_t end = std::min(src->size(), i_ + kStepQuantum);
+      for (; i_ < end; ++i_) outbox_.push_back(bc::array_get(*src, i_));
     }
-    return StepResult::kReady;
+    return push_outbox();
   }
 
   std::string span_args() const override {
-    return JsonArgs().add("elements", pushed_).str();
+    const uint64_t pushed = i_ - (outbox_.size() - out_next_);
+    return JsonArgs().add("elements", pushed).str();
   }
 
  private:
   RtNode* node_;
-  size_t i_ = 0;
-  Value v_;
-  bool staged_ = false;
-  uint64_t pushed_ = 0;
+  size_t i_ = 0;  // next array index to stage
 };
 
 class LiquidRuntime::SinkTask final : public NodeTask {
  public:
   SinkTask(LiquidRuntime& rt, RtGraph* g, RtNode* node,
            std::shared_ptr<ValueFifo> in)
-      : NodeTask(rt, g, std::move(in), nullptr, "sink"), node_(node) {}
+      : NodeTask(rt, g, std::move(in), nullptr, "sink"), node_(node) {
+    reserve_batches(kStepQuantum, 0);
+  }
 
  protected:
   StepResult run_slice() override {
-    const bc::ArrayRef& dst = node_->array.as_array();
-    for (size_t budget = kStepQuantum; budget > 0; --budget) {
-      Value v;
-      switch (in_->try_pop(&v)) {
-        case FifoSignal::kOk:
-          if (i_ >= dst->size()) {
-            throw RuntimeError("sink array too small");
-          }
-          bc::array_set(*dst, i_++, v);
-          break;
-        case FifoSignal::kWouldBlock:
-          set_block_reason(BlockReason::kPop);
-          return StepResult::kBlocked;
-        default:  // kEndOfStream (complete) or kShutdown (error unwind)
-          return StepResult::kDone;
-      }
+    inbox_.clear();
+    switch (in_->try_pop_batch(kStepQuantum, &inbox_)) {
+      case FifoSignal::kOk:
+        break;
+      case FifoSignal::kWouldBlock:
+        set_block_reason(BlockReason::kPop);
+        return StepResult::kBlocked;
+      default:  // kEndOfStream (complete) or kShutdown (error unwind)
+        return StepResult::kDone;
     }
+    const bc::ArrayRef& dst = node_->array.as_array();
+    if (inbox_.size() > dst->size() - i_) {
+      throw RuntimeError("sink array too small");
+    }
+    for (const Value& v : inbox_) bc::array_set(*dst, i_++, v);
     return StepResult::kReady;
   }
 
@@ -1863,51 +1891,39 @@ class LiquidRuntime::FilterTask final : public NodeTask {
       : NodeTask(rt, g, std::move(in), std::move(out),
                  "filter:" + node->task_id),
         node_(node),
-        interp_(*rt.program_.bytecode),
-        args_(static_cast<size_t>(node->arity)) {}
+        interp_(*rt.program_.bytecode) {
+    reserve_batches(kStepQuantum * static_cast<size_t>(node->arity),
+                    kStepQuantum);
+  }
 
  protected:
   StepResult run_slice() override {
-    const size_t k = args_.size();
-    for (size_t budget = kStepQuantum; budget > 0; --budget) {
-      // Flush the staged result before computing another.
-      if (staged_) {
-        switch (out_->try_push(result_)) {
-          case FifoSignal::kOk:
-            staged_ = false;
-            ++fires_;
-            continue;
-          case FifoSignal::kWouldBlock:
-            set_block_reason(BlockReason::kPush);
-            return StepResult::kBlocked;
-          default:
-            // Downstream dead: become a dead consumer of our own input,
-            // unwinding the producer blocked above us.
-            in_->close();
-            return StepResult::kDone;
-        }
-      }
-      // Gather one firing's worth of arguments (resumes across parks).
-      while (got_ < k) {
-        Value v;
-        FifoSignal s = in_->try_pop(&v);
-        if (s == FifoSignal::kOk) {
-          args_[got_++] = std::move(v);
-          continue;
-        }
-        if (s == FifoSignal::kWouldBlock) {
+    if (outbox_.empty()) {
+      const size_t k = static_cast<size_t>(node_->arity);
+      switch (in_->try_pop_batch(kStepQuantum * k - inbox_.size(), &inbox_)) {
+        case FifoSignal::kOk:
+          break;
+        case FifoSignal::kWouldBlock:
           set_block_reason(BlockReason::kPop);
           return StepResult::kBlocked;
-        }
-        // End of stream (a trailing partial firing is dropped) or shutdown.
-        out_->finish();
-        return StepResult::kDone;
+        default:
+          // End of stream (a trailing partial firing is dropped) or shutdown.
+          out_->finish();
+          return StepResult::kDone;
       }
-      result_ = interp_.call(node_->method_index, args_);
-      got_ = 0;
-      staged_ = true;
+      // Every whole firing runs now; a partial one waits in inbox_ for the
+      // rest of its arguments.
+      auto first = inbox_.begin();
+      for (; inbox_.end() - first >= static_cast<long>(k); first += k) {
+        outbox_.push_back(interp_.call(
+            node_->method_index,
+            std::vector<Value>(std::make_move_iterator(first),
+                               std::make_move_iterator(first + k))));
+        ++fires_;
+      }
+      inbox_.erase(inbox_.begin(), first);
     }
-    return StepResult::kReady;
+    return push_outbox();
   }
 
   std::string span_args() const override {
@@ -1919,10 +1935,6 @@ class LiquidRuntime::FilterTask final : public NodeTask {
   /// A private interpreter per task: the module is shared read-only, and
   /// two steps of the same task never run concurrently.
   bc::Interpreter interp_;
-  std::vector<Value> args_;
-  size_t got_ = 0;
-  Value result_;
-  bool staged_ = false;
   uint64_t fires_ = 0;
 };
 
@@ -1947,23 +1959,10 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
         set_block_reason(BlockReason::kRpc);
         return StepResult::kBlocked;
       }
-      std::vector<Value> produced = run_.collect_async();
-      for (auto& v : produced) outbuf_.push_back(std::move(v));
+      outbox_ = run_.collect_async();
     }
     // 2. Flush buffered results downstream.
-    while (!outbuf_.empty()) {
-      switch (out_->try_push(outbuf_.front())) {
-        case FifoSignal::kOk:
-          outbuf_.pop_front();
-          break;
-        case FifoSignal::kWouldBlock:
-          set_block_reason(BlockReason::kPush);
-          return StepResult::kBlocked;
-        default:
-          in_->close();  // hop-by-hop unwind
-          return StepResult::kDone;
-      }
-    }
+    if (StepResult r = push_outbox(); r != StepResult::kReady) return r;
     if (eof_) {
       out_->finish();
       return StepResult::kDone;
@@ -1974,15 +1973,15 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
     //    element order).
     const size_t k = run_.arity();
     const size_t target = std::max<size_t>(rt_.config_.device_batch, 1) * k;
-    while (pending_.size() < target) {
-      FifoSignal s = in_->try_pop_batch(target - pending_.size(), &pending_);
+    while (inbox_.size() < target) {
+      FifoSignal s = in_->try_pop_batch(target - inbox_.size(), &inbox_);
       if (s == FifoSignal::kWouldBlock) break;
       if (s != FifoSignal::kOk) {
         eof_ = true;  // kEndOfStream, or kShutdown: drain what we have
         break;
       }
     }
-    size_t usable = (pending_.size() / k) * k;
+    size_t usable = (inbox_.size() / k) * k;
     if (usable == 0) {
       if (eof_) {
         out_->finish();
@@ -1995,11 +1994,9 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
     //    parks this task, not a worker thread.
     if (run_.can_issue_async()) {
       std::vector<Value> chunk(
-          std::make_move_iterator(pending_.begin()),
-          std::make_move_iterator(pending_.begin() +
-                                  static_cast<long>(usable)));
-      pending_.erase(pending_.begin(),
-                     pending_.begin() + static_cast<long>(usable));
+          std::make_move_iterator(inbox_.begin()),
+          std::make_move_iterator(inbox_.begin() + static_cast<long>(usable)));
+      inbox_.erase(inbox_.begin(), inbox_.begin() + static_cast<long>(usable));
       Executor* ex = executor();
       // Begin-before-issue / end-after-wake: the external-pending bracket
       // must cover the whole window in which the completion callback is
@@ -2018,11 +2015,8 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
       set_block_reason(BlockReason::kRpc);
       return StepResult::kBlocked;  // woken by the completion callback
     }
-    std::vector<Value> produced =
-        run_.process(std::span<const Value>(pending_.data(), usable));
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<long>(usable));
-    for (auto& v : produced) outbuf_.push_back(std::move(v));
+    outbox_ = run_.process(std::span<const Value>(inbox_.data(), usable));
+    inbox_.erase(inbox_.begin(), inbox_.begin() + static_cast<long>(usable));
     return StepResult::kReady;  // flush (and refill) next step
   }
 
@@ -2037,8 +2031,6 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
 
  private:
   DeviceRun run_;
-  std::vector<Value> pending_;
-  std::deque<Value> outbuf_;
   bool eof_ = false;
 };
 

@@ -4,7 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/artifact.h"
@@ -363,6 +366,129 @@ TEST(Fifo, WakersFireOnEdgesOnly) {
   EXPECT_EQ(producer_wakes, 2);
 }
 
+std::vector<Value> i32_values(int first, int count) {
+  std::vector<Value> v;
+  for (int i = 0; i < count; ++i) v.push_back(Value::i32(first + i));
+  return v;
+}
+
+TEST(FifoBatch, PartialAcceptStopsAtCapacityAndAdvancesCursor) {
+  ValueFifo q(4);
+  Value one = Value::i32(-1);
+  ASSERT_EQ(q.try_push(one), FifoSignal::kOk);
+  std::vector<Value> vals = i32_values(0, 6);
+  size_t next = 0;
+  EXPECT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  EXPECT_EQ(next, 3u);  // exactly the three free slots
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(vals[3].as_i32(), 3);  // the rest is untouched for the retry
+  // A partial accept is not a failed try: no blocked window yet.
+  EXPECT_EQ(q.producer_blocked_us(), 0.0);
+
+  std::vector<Value> got;
+  ASSERT_EQ(q.try_pop_batch(8, &got), FifoSignal::kOk);
+  EXPECT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  EXPECT_EQ(next, 6u);
+  ASSERT_EQ(q.try_pop_batch(8, &got), FifoSignal::kOk);
+  ASSERT_EQ(got.size(), 7u);
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(got[i].as_i32(), i - 1);
+
+  // An empty range moves nothing and succeeds.
+  EXPECT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  EXPECT_EQ(next, 6u);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(FifoBatch, WouldBlockOnlyWhenFullAndNextPopSettlesTheWindow) {
+  ValueFifo q(2);
+  std::vector<Value> vals = i32_values(0, 3);
+  size_t next = 0;
+  ASSERT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);  // fills it
+  ASSERT_EQ(next, 2u);
+  EXPECT_EQ(q.producer_blocked_us(), 0.0);
+  EXPECT_EQ(q.try_push_batch(vals, &next), FifoSignal::kWouldBlock);
+  EXPECT_EQ(next, 2u);
+  EXPECT_EQ(vals[2].as_i32(), 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_GT(q.producer_blocked_us(), 0.0);  // the window is open
+  Value got;
+  ASSERT_EQ(q.try_pop(&got), FifoSignal::kOk);  // full→not-full settles it
+  double settled = q.producer_blocked_us();
+  EXPECT_GE(settled, 2000.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(q.producer_blocked_us(), settled);  // closed, no longer growing
+  EXPECT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  EXPECT_EQ(next, 3u);
+}
+
+TEST(FifoBatch, ShutdownAfterCloseConsumesNothing) {
+  ValueFifo q(8);
+  q.close();
+  std::vector<Value> vals = i32_values(0, 4);
+  size_t next = 1;
+  EXPECT_EQ(q.try_push_batch(vals, &next), FifoSignal::kShutdown);
+  EXPECT_EQ(next, 1u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(vals[i].as_i32(), i);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(FifoBatch, ConsumerWakerFiresOncePerEmptyToNonemptyBatch) {
+  ValueFifo q(8);
+  int consumer_wakes = 0;
+  q.set_consumer_waker([&] { ++consumer_wakes; });
+  std::vector<Value> vals = i32_values(0, 5);
+  size_t next = 0;
+  std::span<Value> all(vals);
+  ASSERT_EQ(q.try_push_batch(all.first(3), &next), FifoSignal::kOk);
+  EXPECT_EQ(consumer_wakes, 1);  // three values, one edge
+  ASSERT_EQ(q.try_push_batch(all, &next), FifoSignal::kOk);
+  EXPECT_EQ(next, 5u);
+  EXPECT_EQ(consumer_wakes, 1);  // pushed into a nonempty queue: no edge
+  std::vector<Value> got;
+  ASSERT_EQ(q.try_pop_batch(8, &got), FifoSignal::kOk);
+  vals = i32_values(5, 4);
+  next = 0;
+  ASSERT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  EXPECT_EQ(consumer_wakes, 2);
+}
+
+TEST(FifoBatch, HighWaterTracksBatchPushes) {
+  ValueFifo q(8);
+  std::vector<Value> vals = i32_values(0, 5);
+  size_t next = 0;
+  ASSERT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  EXPECT_EQ(q.high_water(), 5u);
+  std::vector<Value> got;
+  ASSERT_EQ(q.try_pop_batch(3, &got), FifoSignal::kOk);
+  vals = i32_values(5, 20);
+  next = 0;
+  ASSERT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  EXPECT_EQ(next, 6u);
+  EXPECT_EQ(q.high_water(), 8u);
+}
+
+TEST(FifoBatch, PopBatchFromFullFiresProducerWakerOncePerBatch) {
+  ValueFifo q(4);
+  int producer_wakes = 0;
+  q.set_producer_waker([&] { ++producer_wakes; });
+  std::vector<Value> vals = i32_values(0, 4);
+  size_t next = 0;
+  ASSERT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  std::vector<Value> got;
+  ASSERT_EQ(q.try_pop_batch(2, &got), FifoSignal::kOk);
+  EXPECT_EQ(producer_wakes, 1);  // full→not-full, two values, one edge
+  ASSERT_EQ(q.try_pop_batch(1, &got), FifoSignal::kOk);
+  EXPECT_EQ(producer_wakes, 1);  // was not full: no edge
+  vals = i32_values(4, 3);
+  next = 0;
+  ASSERT_EQ(q.try_push_batch(vals, &next), FifoSignal::kOk);
+  ASSERT_EQ(q.size(), 4u);
+  ASSERT_EQ(q.try_pop_batch(8, &got), FifoSignal::kOk);
+  EXPECT_EQ(producer_wakes, 2);
+  ASSERT_EQ(got.size(), 7u);
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(got[i].as_i32(), i);
+}
+
 /// The FIFO occupancy metric surfaced by the runtime must agree with what
 /// the FIFOs themselves observed: a tiny capacity forces the high-water
 /// mark to exactly that capacity on a long stream.
@@ -485,6 +611,51 @@ TEST(FifoShutdown, SinkAdjacentFaultUnwindsWholeChain) {
 
 TEST(FifoShutdown, FaultAfterSuccessfulBatchesStillUnwinds) {
   expect_fault_unwinds("P.b", 3);
+}
+
+// A bytecode filter that faults in the middle of a step batch: firing 499
+// of P.d divides by zero while its step has already fired (and staged)
+// the firings before it, and the source is blocked upstream on full
+// queues. The unwind must still reach the source under every schedule.
+TEST(FifoShutdown, MidBatchFilterFaultUnwindsToSource) {
+  auto cp = compile(R"(
+    class P {
+      local static int a(int x) { return x + 1; }
+      local static int d(int x, int y) { return x / (y - 1000); }
+      local static int c(int x) { return x - 3; }
+      static int[[]] run(int[[]] input) {
+        int[] result = new int[input.length / 2];
+        var g = input.source(1) => ([ task a ]) => ([ task d ])
+          => ([ task c ]) => result.<int>sink();
+        g.finish();
+        return new int[[]](result);
+      }
+    }
+  )");
+  ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+  std::vector<int32_t> input(20000);
+  for (size_t i = 0; i < input.size(); ++i) input[i] = static_cast<int32_t>(i);
+  for (auto [workers, seed] : {std::pair<size_t, uint64_t>{1, 0}, {4, 0},
+                               {1, 5}}) {
+    RuntimeConfig rc;
+    rc.placement = Placement::kCpuOnly;
+    rc.worker_threads = workers;
+    rc.scheduler_seed = seed;
+    LiquidRuntime rt(*cp, rc);
+    auto t0 = std::chrono::steady_clock::now();
+    try {
+      rt.call("P.run", {bc::Value::array(bc::make_i32_array(input, true))});
+      ADD_FAILURE() << "the fault did not surface";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("division by zero"),
+                std::string::npos)
+          << e.what();
+    }
+    auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(
+        std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 15)
+        << workers << " workers, seed " << seed << ": unwind stalled";
+  }
 }
 
 // The fault must also reach the flight recorder (the black box is the

@@ -52,6 +52,11 @@
 #  11. clang-tidy (bugprone-*, performance-*, concurrency-*; see
 #      .clang-tidy) over src/analysis + src/runtime. Skipped with a notice
 #      when clang-tidy is not installed — the gate must not require it.
+#  12. benchmark self-test — `python3 lmbench/run.py --selftest` builds
+#      the lmbench harness from this checkout (into .bench_build, or
+#      $CARGO_TARGET_DIR) and runs every benchmark workload's output
+#      checks at n=16 plus the seed byte-identity check, so a change that
+#      breaks the benchmark fails here, before merge.
 #
 # Usage: tools/check.sh [--quick]
 #   --quick skips the sanitizer builds (steps 2 and 3).
@@ -360,6 +365,9 @@ ctest --preset default -j "$JOBS" -L tier1
 
 step "tier-1 with IR verification (LM_VERIFY_IR=1)"
 LM_VERIFY_IR=1 ctest --preset default -j "$JOBS" -L tier1
+
+step "benchmark self-test (lmbench --selftest)"
+python3 lmbench/run.py --selftest
 
 if [[ "$QUICK" == 0 ]]; then
   step "ASan+UBSan build + tier-1"
