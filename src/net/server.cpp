@@ -258,8 +258,8 @@ Frame DeviceServer::handle(const Frame& req, ReplyTelemetry& tele) {
   }
 }
 
-void DeviceServer::collect_telemetry(std::vector<obs::GaugeSample>& out,
-                                     bool compat) const {
+void DeviceServer::collect_telemetry(
+    std::vector<obs::GaugeSample>& out) const {
   out.emplace_back("server.active_connections",
                    static_cast<double>(active_connections()));
   out.emplace_back("server.requests_served",
@@ -268,10 +268,6 @@ void DeviceServer::collect_telemetry(std::vector<obs::GaugeSample>& out,
                    static_cast<double>(listing_.size()));
   out.emplace_back("server.exec_batches",
                    static_cast<double>(exec_hist_.count()));
-  if (compat) {
-    out.emplace_back("server.exec_p50_us", exec_hist_.percentile_us(50));
-    out.emplace_back("server.exec_p99_us", exec_hist_.percentile_us(99));
-  }
 }
 
 void DeviceServer::collect_histograms(

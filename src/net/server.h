@@ -88,13 +88,9 @@ class DeviceServer {
   int64_t active_connections() const {
     return active_conns_.load(std::memory_order_relaxed);
   }
-  /// Live gauges for a TelemetryHub collector (lmdev's exporter).
-  /// `compat` re-emits the pre-ISSUE-10 `server.exec_p50_us`/
-  /// `server.exec_p99_us` opaque gauges alongside the native histogram —
-  /// one release of overlap for dashboards pinned to the old names
-  /// (lmdev --telemetry-compat), then they go away.
-  void collect_telemetry(std::vector<obs::GaugeSample>& out,
-                         bool compat = false) const;
+  /// Live gauges for a TelemetryHub collector (lmdev's exporter). Execute
+  /// latency is not among them: it is exported as a native histogram.
+  void collect_telemetry(std::vector<obs::GaugeSample>& out) const;
   /// Native-histogram series for TelemetryHub::add_histograms:
   /// `server.exec_us` — fleet-side percentile math needs real buckets,
   /// not pre-baked percentile gauges that cannot be merged.

@@ -1,15 +1,11 @@
 // Bounded FIFO connecting tasks (§4.1: "A connect operation '=>' creates a
 // FIFO queue between tasks").
 //
-// Two API layers share one queue:
-//
-//  * the blocking API (push/pop/pop_batch) — the original thread-per-task
-//    interface, kept for direct users and tests;
-//  * the nonblocking try-API returning FifoSignal — what executor tasks
-//    use, paired with *wakers*. Executor tasks move data in batches:
-//    try_push_batch and try_pop_batch move up to a whole step's worth of
-//    values under one lock. try_push/try_pop move one value and remain for
-//    callers that have only one.
+// The API is nonblocking: every operation returns a FifoSignal at once,
+// and a side that cannot proceed parks until a *waker* fires. Executor
+// tasks move data in batches: try_push_batch and try_pop_batch move up to
+// a whole step's worth of values under one lock. try_push/try_pop move one
+// value, for callers that have only one.
 //
 // Wakers are edge-triggered callbacks wired once before execution starts:
 // the consumer waker fires on empty→nonempty, finish() and close(); the
@@ -27,26 +23,24 @@
 // try_push_batch is not a failed try: it left the queue full, so the
 // caller retries, and that retry is the failed try it parks on.
 //
-// Every try-operation keeps the same accounting: high_water() and the
+// Every operation keeps the same accounting: high_water() and the
 // producer/consumer blocked windows (opened by a failed try, settled by
 // the transition that wakes the blocked side), which the attribution
 // engine reads.
 //
 // Shutdown ordering: close() *discards* queued values and makes every
-// subsequent pop fail fast with kShutdown (nullopt on the blocking API), so
-// a consumer can never observe data after the producer side was torn down,
-// nor hang on a queue whose producer will never push again. Closed means
-// dead, in both directions, immediately.
+// subsequent operation fail fast with kShutdown, so a consumer can never
+// observe data after the producer side was torn down, nor hang on a queue
+// whose producer will never push again. Closed means dead, in both
+// directions, immediately.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -109,7 +103,6 @@ class ValueFifo {
           *next + std::min(capacity_ - q_.size(), vals.size() - *next);
       for (; *next < end; ++*next) q_.push_back(std::move(vals[*next]));
       if (q_.size() > high_water_) high_water_ = q_.size();
-      not_empty_.notify_all();
     }
     if (fire && consumer_waker_) consumer_waker_();
     return FifoSignal::kOk;
@@ -132,7 +125,6 @@ class ValueFifo {
       if (fire) settle_blocked_locked(prod_blocked_since_, prod_blocked_ns_);
       *out = std::move(q_.front());
       q_.pop_front();
-      not_full_.notify_one();
     }
     if (fire && producer_waker_) producer_waker_();
     return FifoSignal::kOk;
@@ -158,98 +150,25 @@ class ValueFifo {
         out->push_back(std::move(q_.front()));
         q_.pop_front();
       }
-      not_full_.notify_all();
     }
     if (fire && producer_waker_) producer_waker_();
     return FifoSignal::kOk;
   }
 
-  /// Blocks while full. Returns false if the queue was closed by the
-  /// consumer (downstream failure) — the producer should stop.
-  bool push(bc::Value v) {
-    bool fire;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (q_.size() >= capacity_ && !closed_) {
-        mark_blocked_locked(prod_blocked_since_);
-      }
-      not_full_.wait(lock, [&] { return q_.size() < capacity_ || closed_; });
-      settle_blocked_locked(prod_blocked_since_, prod_blocked_ns_);
-      if (closed_) return false;
-      fire = q_.empty();
-      if (fire) settle_blocked_locked(cons_blocked_since_, cons_blocked_ns_);
-      q_.push_back(std::move(v));
-      if (q_.size() > high_water_) high_water_ = q_.size();
-      not_empty_.notify_one();
-    }
-    if (fire && consumer_waker_) consumer_waker_();
-    return true;
-  }
-
-  /// Marks end-of-stream; consumers drain then see nullopt/kEndOfStream.
+  /// Marks end-of-stream; consumers drain, then see kEndOfStream.
   void finish() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       finished_ = true;
       settle_blocked_locked(cons_blocked_since_, cons_blocked_ns_);
-      not_empty_.notify_all();
     }
     if (consumer_waker_) consumer_waker_();
   }
 
-  /// Blocks for the next value; nullopt at end-of-stream or shutdown.
-  std::optional<bc::Value> pop() {
-    bool fire;
-    bc::Value v;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (q_.empty() && !finished_ && !closed_) {
-        mark_blocked_locked(cons_blocked_since_);
-      }
-      not_empty_.wait(lock,
-                      [&] { return !q_.empty() || finished_ || closed_; });
-      settle_blocked_locked(cons_blocked_since_, cons_blocked_ns_);
-      if (closed_ || q_.empty()) return std::nullopt;
-      fire = q_.size() == capacity_;
-      if (fire) settle_blocked_locked(prod_blocked_since_, prod_blocked_ns_);
-      v = std::move(q_.front());
-      q_.pop_front();
-      not_full_.notify_one();
-    }
-    if (fire && producer_waker_) producer_waker_();
-    return v;
-  }
-
-  /// Pops up to `max` values (at least 1 unless the stream ended). Blocks
-  /// for the first value only — device nodes use this to batch.
-  std::vector<bc::Value> pop_batch(size_t max) {
-    bool fire;
-    std::vector<bc::Value> out;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (q_.empty() && !finished_ && !closed_) {
-        mark_blocked_locked(cons_blocked_since_);
-      }
-      not_empty_.wait(lock,
-                      [&] { return !q_.empty() || finished_ || closed_; });
-      settle_blocked_locked(cons_blocked_since_, cons_blocked_ns_);
-      if (closed_) return out;
-      fire = q_.size() == capacity_;
-      if (fire) settle_blocked_locked(prod_blocked_since_, prod_blocked_ns_);
-      while (!q_.empty() && out.size() < max) {
-        out.push_back(std::move(q_.front()));
-        q_.pop_front();
-      }
-      not_full_.notify_all();
-    }
-    if (fire && !out.empty() && producer_waker_) producer_waker_();
-    return out;
-  }
-
   /// Closes the queue (error propagation): queued values are discarded,
-  /// pending and future pushes fail fast, pending and future pops observe
-  /// kShutdown — a consumer blocked at shutdown can never hang on data
-  /// that will not come.
+  /// every later operation observes kShutdown, and both wakers fire so a
+  /// parked side retries and sees it — a consumer parked at shutdown can
+  /// never hang on data that will not come.
   void close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -257,8 +176,6 @@ class ValueFifo {
       settle_blocked_locked(prod_blocked_since_, prod_blocked_ns_);
       settle_blocked_locked(cons_blocked_since_, cons_blocked_ns_);
       q_.clear();
-      not_full_.notify_all();
-      not_empty_.notify_all();
     }
     if (producer_waker_) producer_waker_();
     if (consumer_waker_) consumer_waker_();
@@ -275,8 +192,8 @@ class ValueFifo {
   }
 
   /// Cumulative time the producer side spent blocked on a full queue (from
-  /// a failed try_push / a blocking push's wait until the not-full edge).
-  /// Includes any in-progress blocked window. Attribution input (§12).
+  /// a failed try_push until the not-full edge). Includes any in-progress
+  /// blocked window. Attribution input (§12).
   double producer_blocked_us() const {
     std::lock_guard<std::mutex> lock(mu_);
     return blocked_us_locked(prod_blocked_since_, prod_blocked_ns_);
@@ -326,7 +243,6 @@ class ValueFifo {
 
   const size_t capacity_;
   mutable std::mutex mu_;
-  std::condition_variable not_full_, not_empty_;
   std::deque<bc::Value> q_;
   size_t high_water_ = 0;
   bool finished_ = false;

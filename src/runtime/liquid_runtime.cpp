@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include "obs/flight_recorder.h"
@@ -251,17 +254,6 @@ void LiquidRuntime::add_remote_artifact(std::unique_ptr<Artifact> artifact) {
   LM_CHECK_MSG(artifact->is_remote(),
                "add_remote_artifact is for net:: proxies only");
   remote_store_.add(std::move(artifact));
-}
-
-Artifact* LiquidRuntime::find_candidate(const std::string& id,
-                                        DeviceKind d) const {
-  Artifact* local = program_.store.find(id, d);
-  Artifact* remote = remote_store_.find(id, d);
-  // Bytecode across the wire is strictly worse than bytecode here; servers
-  // don't list CPU artifacts, but guard anyway.
-  if (!remote || d == DeviceKind::kCpu) return local;
-  if (config_.prefer_remote || !local) return remote;
-  return local;
 }
 
 Artifact* LiquidRuntime::fallback_for(
@@ -644,156 +636,113 @@ Value LiquidRuntime::connect(Value lhs, Value rhs) {
 }
 
 // ---------------------------------------------------------------------------
-// Task substitution (§4.2)
+// Task substitution (§4.2, §7): one rewrite, fed by a per-placement scorer
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// A scorer's answer for one candidate. An unscored candidate carries no
+/// cost and never wins on one.
+struct Score {
+  bool scored = false;
+  double cost = 0;          // what picks and fused-vs-chain compare
+  double us_per_elem = -1;  // the decision log's score_us_per_elem
+};
+
+/// The only question substitution asks a placement: "what does this
+/// candidate cost, if you know?" `in` is the calibration stream feeding the
+/// candidate (empty unless calibrating); a measuring scorer leaves the
+/// candidate's output in `*out`, so the next chain member is scored on
+/// what this one yields.
+struct Scorer {
+  /// Decision-log source of a scored pick: "measured" or "static".
+  const char* source;
+  /// Trace field of a candidate's cost; the two plans' totals are rendered
+  /// as "fused_<field>" and "chain_<field>".
+  const char* cost_field;
+  std::function<Score(Artifact*, const std::vector<Value>& in,
+                      std::vector<Value>* out)>
+      score;
+};
+
+/// One substitution unit (a single filter or a fused segment): its
+/// candidates in listing order, their scores, and the pick — the cheapest
+/// scored candidate, earliest on ties, else the first listed.
+struct Unit {
+  std::vector<Artifact*> cands;
+  std::vector<Score> scores;  // parallel to cands; empty without a scorer
+  size_t pick = 0;
+  std::vector<Value> out;  // the pick's calibration output
+
+  Artifact* artifact() const { return cands.empty() ? nullptr : cands[pick]; }
+  bool scored() const { return !scores.empty() && scores[pick].scored; }
+  double cost() const { return scores[pick].cost; }
+};
+
+}  // namespace
+
+std::vector<Artifact*> LiquidRuntime::candidates_for(
+    const std::string& id) const {
+  static constexpr DeviceKind kAccels[] = {DeviceKind::kGpu,
+                                           DeviceKind::kFpga};
+  std::span<const DeviceKind> accels;
+  switch (config_.placement) {
+    case Placement::kAuto:
+    case Placement::kAdaptive: accels = kAccels; break;
+    case Placement::kGpuOnly: accels = std::span(kAccels).first(1); break;
+    case Placement::kFpgaOnly: accels = std::span(kAccels).subspan(1); break;
+    case Placement::kCpuOnly: break;
+  }
+  const bool adaptive = config_.placement == Placement::kAdaptive;
+  std::vector<Artifact*> out;
+  for (DeviceKind d : accels) {
+    Artifact* local = program_.store.find(id, d);
+    Artifact* remote = remote_store_.find(id, d);
+    if (!adaptive) {
+      // The preference policies take one artifact per device.
+      Artifact* a = remote && (config_.prefer_remote || !local) ? remote : local;
+      if (a) out.push_back(a);
+      continue;
+    }
+    // Local before remote, so equal measurements avoid the network hop.
+    // Remotes race on measured time, which charges the round trip and the
+    // wire; the static seeds model this process's executors only.
+    if (local) out.push_back(local);
+    if (remote && config_.enable_calibration) out.push_back(remote);
+  }
+  // Servers never list bytecode: across the wire it is strictly worse.
+  if (Artifact* cpu = program_.store.find(id, DeviceKind::kCpu)) {
+    out.push_back(cpu);
+  }
+  return out;
+}
 
 void LiquidRuntime::substitute(RtGraph& g) {
   if (g.substituted) return;
   g.substituted = true;
   TraceSpan span("runtime", "substitute");
-  if (config_.placement == Placement::kAdaptive) {
-    substitute_adaptive(g);
-    return;
-  }
-  if (config_.placement == Placement::kCpuOnly) {
-    for (const auto& n : g.nodes) {
-      if (n.kind == RtNode::Kind::kFilter && n.relocated) {
-        record_substitution({n.task_id, DeviceKind::kCpu, /*fused=*/false},
-                            {});
-      }
-    }
-    return;
-  }
-
-  std::vector<DeviceKind> preference;
-  switch (config_.placement) {
-    case Placement::kAuto:
-      preference = {DeviceKind::kGpu, DeviceKind::kFpga};
-      break;
-    case Placement::kGpuOnly:
-      preference = {DeviceKind::kGpu};
-      break;
-    case Placement::kFpgaOnly:
-      preference = {DeviceKind::kFpga};
-      break;
-    case Placement::kCpuOnly:
-    case Placement::kAdaptive:
-      return;  // handled above
-  }
-
-  std::vector<RtNode> out;
-  size_t i = 0;
-  while (i < g.nodes.size()) {
-    const RtNode& n = g.nodes[i];
-    if (n.kind != RtNode::Kind::kFilter || !n.relocated) {
-      out.push_back(n);
-      ++i;
-      continue;
-    }
-    // Maximal run of consecutive relocated filters [i, j).
-    size_t j = i;
-    std::vector<std::string> ids;
-    while (j < g.nodes.size() && g.nodes[j].kind == RtNode::Kind::kFilter &&
-           g.nodes[j].relocated) {
-      ids.push_back(g.nodes[j].task_id);
-      ++j;
-    }
-    // Prefer the largest substitution (§4.2): the whole fused segment.
-    Artifact* seg = nullptr;
-    if (ids.size() > 1 && config_.allow_fusion) {
-      for (DeviceKind d : preference) {
-        seg = find_candidate(ArtifactStore::segment_id(ids), d);
-        if (seg) break;
-      }
-    }
-    if (seg) {
-      RtNode dev;
-      dev.kind = RtNode::Kind::kDevice;
-      dev.artifact = seg;
-      dev.arity = seg->manifest().arity;
-      dev.label = seg->manifest().task_id;
-      dev.fallback = fallback_for(seg, ids);
-      out.push_back(std::move(dev));
-      std::string joined;
-      for (size_t k = 0; k < ids.size(); ++k) {
-        if (k) joined += "+";
-        joined += ids[k];
-      }
-      SubstitutionRecord rec{joined, seg->manifest().device, /*fused=*/true};
-      rec.remote = seg->is_remote();
-      if (rec.remote) rec.endpoint = seg->location();
-      record_substitution(std::move(rec), {});
-      i = j;
-      continue;
-    }
-    // Per-filter substitution, preferring accelerators over bytecode.
-    for (size_t k = i; k < j; ++k) {
-      const RtNode& f = g.nodes[k];
-      Artifact* chosen = nullptr;
-      for (DeviceKind d : preference) {
-        chosen = find_candidate(f.task_id, d);
-        if (chosen) break;
-      }
-      if (chosen) {
-        RtNode dev;
-        dev.kind = RtNode::Kind::kDevice;
-        dev.artifact = chosen;
-        dev.arity = chosen->manifest().arity;
-        dev.label = chosen->manifest().task_id;
-        dev.fallback = fallback_for(chosen, {f.task_id});
-        out.push_back(std::move(dev));
-        SubstitutionRecord rec{f.task_id, chosen->manifest().device,
-                               /*fused=*/false};
-        rec.remote = chosen->is_remote();
-        if (rec.remote) rec.endpoint = chosen->location();
-        record_substitution(std::move(rec), {});
-      } else {
-        out.push_back(f);
-        record_substitution({f.task_id, DeviceKind::kCpu, /*fused=*/false},
-                            {});
-      }
-    }
-    i = j;
-  }
-  g.nodes = std::move(out);
-}
-
-void LiquidRuntime::substitute_adaptive(RtGraph& g) {
-  if (!config_.enable_calibration) {
-    substitute_static_seeded(g);
-    return;
-  }
-  // Calibration prefix: the first few elements of the *actual* stream, so
-  // profiling sees representative data (runtime introspection, §7).
-  const bc::ArrayRef& src = g.nodes.front().array.as_array();
-  size_t k_cal = std::min(config_.calibration_elements, src->size());
-  std::vector<Value> stream;
-  stream.reserve(k_cal);
-  for (size_t i = 0; i < k_cal; ++i) stream.push_back(bc::array_get(*src, i));
-
-  // Candidate scores are rendered into the decision event so a trace shows
-  // not just the winner but every loser and by how much.
+  const bool calibrating = config_.placement == Placement::kAdaptive &&
+                           config_.enable_calibration;
   const bool tracing = TraceRecorder::current() != nullptr;
 
-  /// A candidate's calibration result. `eligible` is false when the prefix
-  /// could not feed the artifact even once (usable == 0): such a candidate
-  /// carries no measurement and must never win on its (absent) score.
-  struct Scored {
-    Artifact* artifact = nullptr;
-    double seconds = 0;
-    double us_per_elem = 0;
-    bool eligible = false;
-  };
+  // Calibration prefix: the first few elements of the *actual* stream, so
+  // profiling sees representative data (runtime introspection, §7).
+  std::vector<Value> stream;
+  if (calibrating && !g.nodes.empty() &&
+      g.nodes.front().kind == RtNode::Kind::kSource) {
+    const bc::ArrayRef& src = g.nodes.front().array.as_array();
+    size_t k_cal = std::min(config_.calibration_elements, src->size());
+    stream.reserve(k_cal);
+    for (size_t i = 0; i < k_cal; ++i) stream.push_back(bc::array_get(*src, i));
+  }
 
-  auto profile = [&](Artifact* a, const std::vector<Value>& in,
-                     std::vector<Value>* out) -> Scored {
+  auto measure = [this](Artifact* a, const std::vector<Value>& in,
+                        std::vector<Value>* out) -> Score {
     size_t arity = static_cast<size_t>(a->manifest().arity);
     size_t usable = (in.size() / arity) * arity;
-    if (usable == 0) {
-      // Regression guard: a zero time here used to make an un-runnable
-      // candidate look infinitely fast and beat every real measurement.
-      return {a, 0, 0, false};
-    }
+    // Regression guard: a zero time here used to make an un-runnable
+    // candidate look infinitely fast and beat every real measurement.
+    if (usable == 0) return {};
     std::span<const Value> batch(in.data(), usable);
     hot_->candidates_profiled->add();
     std::vector<Value> result;
@@ -810,56 +759,46 @@ void LiquidRuntime::substitute_adaptive(RtGraph& g) {
     } catch (const TransportError&) {
       // A remote candidate whose endpoint died during calibration simply
       // drops out of the race; the run proceeds with whoever answered.
-      return {a, 0, 0, false};
+      return {};
     }
     *out = std::move(result);
-    return {a, best, best * 1e6 / static_cast<double>(usable), true};
+    return {true, best * 1e6, best * 1e6 / static_cast<double>(usable)};
   };
+  // Cold start: the compiler's static cost estimates (also seeded into the
+  // cost models at construction) rank the candidates without a prefix run.
+  auto seed = [this](Artifact* a, const std::vector<Value>&,
+                     std::vector<Value>*) -> Score {
+    const analysis::StaticCostEstimate* e = program_.static_costs.find(
+        a->manifest().task_id, static_device_key(a->manifest().device));
+    if (!e || e->us_per_elem < 0) return {};
+    return {true, e->us_per_elem, e->us_per_elem};
+  };
+  std::optional<Scorer> scorer;
+  if (calibrating) {
+    scorer = Scorer{"measured", "time_us", measure};
+  } else if (config_.placement == Placement::kAdaptive) {
+    scorer = Scorer{"static", "static_us_per_elem", seed};
+  }
 
-  /// One "{"tasks":...,"device":...,"time_us":...}" entry per candidate;
-  /// uncalibratable candidates show "eligible":false instead of a time.
-  auto cand_entry = [](const Scored& s) {
-    JsonArgs j;
-    j.add("tasks", s.artifact->manifest().task_id)
-        .add("device", to_string(s.artifact->manifest().device));
-    if (s.artifact->is_remote()) j.add("endpoint", s.artifact->location());
-    if (s.eligible) {
-      j.add("time_us", s.seconds * 1e6);
-    } else {
-      j.add("eligible", false);
+  auto score_unit = [&](const std::string& id, const std::vector<Value>& in) {
+    Unit u;
+    u.cands = candidates_for(id);
+    if (!scorer) return u;
+    u.scores.reserve(u.cands.size());
+    for (size_t c = 0; c < u.cands.size(); ++c) {
+      std::vector<Value> out;
+      Score s = scorer->score(u.cands[c], in, &out);
+      if (s.scored && !(u.scored() && u.cost() <= s.cost)) {
+        u.pick = c;
+        u.out = std::move(out);
+      }
+      u.scores.push_back(s);
     }
-    return "{" + std::move(j).str() + "}";
-  };
-  auto join_entries = [](const std::vector<std::string>& entries) {
-    std::string out = "[";
-    for (size_t k = 0; k < entries.size(); ++k) {
-      if (k) out += ',';
-      out += entries[k];
-    }
-    out += ']';
-    return out;
+    return u;
   };
 
-  // Candidate ordering breaks ties toward accelerators (paper default),
-  // and local before remote on the same device so equal measurements avoid
-  // the network hop. Remote candidates race on their *measured* time, which
-  // inherently charges the round-trip and wire transfer.
-  auto candidates_for = [&](const std::string& id) {
-    std::vector<Artifact*> out;
-    for (DeviceKind d :
-         {DeviceKind::kGpu, DeviceKind::kFpga, DeviceKind::kCpu}) {
-      if (Artifact* a = program_.store.find(id, d)) out.push_back(a);
-      if (d == DeviceKind::kCpu) continue;  // servers never list bytecode
-      if (Artifact* a = remote_store_.find(id, d)) out.push_back(a);
-    }
-    return out;
-  };
-
-  std::vector<RtNode> rewritten;
-  rewritten.push_back(g.nodes.front());
-
-  size_t i = 1;
-  while (i + 1 < g.nodes.size()) {
+  std::vector<RtNode> out;
+  for (size_t i = 0; i < g.nodes.size();) {
     const RtNode& n = g.nodes[i];
     if (n.kind != RtNode::Kind::kFilter || !n.relocated) {
       // Advance the calibration stream through the untouched filter.
@@ -868,248 +807,17 @@ void LiquidRuntime::substitute_adaptive(RtGraph& g) {
         std::vector<Value> next;
         std::vector<Value> args(arity);
         for (size_t e = 0; e + arity <= stream.size(); e += arity) {
-          for (size_t j = 0; j < arity; ++j) args[j] = stream[e + j];
+          for (size_t k = 0; k < arity; ++k) args[k] = stream[e + k];
           next.push_back(interp_.call(n.method_index, args));
         }
         stream = std::move(next);
       }
-      rewritten.push_back(n);
-      ++i;
-      continue;
-    }
-
-    // Maximal relocated run [i, j).
-    size_t j = i;
-    std::vector<std::string> ids;
-    while (j < g.nodes.size() && g.nodes[j].kind == RtNode::Kind::kFilter &&
-           g.nodes[j].relocated) {
-      ids.push_back(g.nodes[j].task_id);
-      ++j;
-    }
-
-    // Plan A: the fused segment on its best device.
-    Scored fused_best;  // eligible=false until some candidate measures
-    std::vector<Value> fused_out;
-    std::vector<std::string> fused_entries;
-    std::vector<RtNode::ResubAlternative> fused_alts;
-    std::vector<Artifact*> fused_cands;
-    if (ids.size() > 1 && config_.allow_fusion) {
-      fused_cands = candidates_for(ArtifactStore::segment_id(ids));
-      for (Artifact* cand : fused_cands) {
-        std::vector<Value> out;
-        Scored s = profile(cand, stream, &out);
-        if (tracing) fused_entries.push_back(cand_entry(s));
-        if (!s.eligible) continue;
-        fused_alts.push_back({cand, s.us_per_elem});
-        if (!fused_best.eligible || s.seconds < fused_best.seconds) {
-          fused_best = s;
-          fused_out = std::move(out);
-        }
-      }
-    }
-
-    // Plan B: each filter independently on its best device.
-    struct Choice {
-      Scored best;  // best.eligible=false → static-preference fallback
-      std::vector<RtNode::ResubAlternative> alts;
-      std::vector<std::string> entries;
-    };
-    double chain_time = 0;
-    bool any_chain_calibrated = false;
-    std::vector<Choice> chain;
-    std::vector<Value> chain_stream = stream;
-    for (size_t k = i; k < j; ++k) {
-      Choice c;
-      std::vector<Value> best_out;
-      std::vector<Artifact*> cands = candidates_for(g.nodes[k].task_id);
-      LM_CHECK_MSG(!cands.empty(),
-                   "no artifact at all for " << g.nodes[k].task_id);
-      for (Artifact* cand : cands) {
-        std::vector<Value> out;
-        Scored s = profile(cand, chain_stream, &out);
-        if (tracing) c.entries.push_back(cand_entry(s));
-        if (!s.eligible) continue;
-        c.alts.push_back({cand, s.us_per_elem});
-        if (!c.best.eligible || s.seconds < c.best.seconds) {
-          c.best = s;
-          best_out = std::move(out);
-        }
-      }
-      if (c.best.eligible) {
-        any_chain_calibrated = true;
-        chain_time += c.best.seconds;
-        chain_stream = std::move(best_out);
-      } else {
-        // No candidate could be calibrated (prefix shorter than every
-        // arity). Fall back to the static §4.2 preference order —
-        // candidates_for lists accelerators first — with the record marked
-        // uncalibrated, instead of crowning a bogus zero score.
-        c.best.artifact = cands.front();
-      }
-      chain.push_back(std::move(c));
-    }
-
-    std::string joined;
-    for (size_t k = 0; k < ids.size(); ++k) {
-      if (k) joined += "+";
-      joined += ids[k];
-    }
-
-    auto emit_device = [&](Artifact* a,
-                           std::vector<RtNode::ResubAlternative> alts,
-                           const std::vector<std::string>& fb_ids) {
-      RtNode dev;
-      dev.kind = RtNode::Kind::kDevice;
-      dev.artifact = a;
-      dev.arity = a->manifest().arity;
-      dev.label = a->manifest().task_id;
-      dev.fallback = fallback_for(a, fb_ids);
-      // A node can only re-substitute toward a *measured* alternative, so
-      // it needs at least one calibrated loser besides its own score.
-      if (config_.enable_resubstitution && alts.size() >= 2) {
-        dev.resub_alts = std::move(alts);
-      }
-      rewritten.push_back(std::move(dev));
-    };
-
-    // When nothing at all could be calibrated, preserve the §4.2 static
-    // preference: the largest substitution (fused) on the preferred device.
-    const bool fused_fallback =
-        !fused_cands.empty() && !fused_best.eligible && !any_chain_calibrated;
-
-    if (fused_best.eligible && fused_best.seconds <= chain_time) {
-      emit_device(fused_best.artifact, std::move(fused_alts), ids);
-      std::string extra;
-      if (tracing) {
-        // The losing per-filter plan rides along so the trace explains
-        // *why* fusion won.
-        std::vector<std::string> all = fused_entries;
-        for (auto& c : chain) {
-          all.insert(all.end(), c.entries.begin(), c.entries.end());
-        }
-        extra = JsonArgs()
-                    .add("fused_time_us", fused_best.seconds * 1e6)
-                    .add("chain_time_us", chain_time * 1e6)
-                    .add_raw("candidates", join_entries(all))
-                    .str();
-      }
-      {
-        Artifact* a = fused_best.artifact;
-        SubstitutionRecord rec{joined, a->manifest().device, /*fused=*/true,
-                               fused_best.us_per_elem, /*calibrated=*/true};
-        rec.source = "measured";
-        rec.remote = a->is_remote();
-        if (rec.remote) rec.endpoint = a->location();
-        record_substitution(std::move(rec), std::move(extra));
-      }
-      stream = std::move(fused_out);
-    } else if (fused_fallback) {
-      Artifact* a = fused_cands.front();
-      emit_device(a, {}, ids);
-      std::string extra;
-      if (tracing) {
-        extra = JsonArgs()
-                    .add_raw("candidates", join_entries(fused_entries))
-                    .str();
-      }
-      SubstitutionRecord rec{joined, a->manifest().device, /*fused=*/true,
-                             /*score_us_per_elem=*/-1.0, /*calibrated=*/false};
-      rec.remote = a->is_remote();
-      if (rec.remote) rec.endpoint = a->location();
-      record_substitution(std::move(rec), std::move(extra));
-      // The calibration stream was too short to advance; leave it be.
-    } else {
-      for (size_t k = 0; k < chain.size(); ++k) {
-        Choice& c = chain[k];
-        Artifact* a = c.best.artifact;
-        // A CPU-won filter normally stays an interpreter node, but a node
-        // that may later swap devices must drain in device batches.
-        const bool resub_node =
-            config_.enable_resubstitution && c.alts.size() >= 2;
-        if (a->manifest().device == DeviceKind::kCpu && !resub_node &&
-            !a->is_remote()) {
-          rewritten.push_back(g.nodes[i + k]);  // keep as interpreter filter
-        } else {
-          emit_device(a, std::move(c.alts), {g.nodes[i + k].task_id});
-        }
-        std::string extra;
-        if (tracing) {
-          JsonArgs e;
-          if (!fused_entries.empty() && fused_best.eligible) {
-            e.add("fused_time_us", fused_best.seconds * 1e6);
-          }
-          e.add_raw("candidates", join_entries(c.entries));
-          extra = std::move(e).str();
-        }
-        SubstitutionRecord rec{
-            g.nodes[i + k].task_id, a->manifest().device, /*fused=*/false,
-            c.best.eligible ? c.best.us_per_elem : -1.0, c.best.eligible};
-        if (c.best.eligible) rec.source = "measured";
-        rec.remote = a->is_remote();
-        if (rec.remote) rec.endpoint = a->location();
-        record_substitution(std::move(rec), std::move(extra));
-      }
-      stream = std::move(chain_stream);
-    }
-    i = j;
-  }
-  rewritten.push_back(g.nodes.back());
-  g.nodes = std::move(rewritten);
-}
-
-void LiquidRuntime::substitute_static_seeded(RtGraph& g) {
-  // Cold start: no calibration prefix runs. Candidates are ranked by the
-  // compiler's static cost estimates (seeded into the cost models at
-  // construction); decisions log source=static so a trace distinguishes
-  // them from measured ones. Only local artifacts compete — the estimator
-  // models this process's executors, not a remote server's.
-  const bool tracing = TraceRecorder::current() != nullptr;
-
-  auto seed_of = [&](const std::string& id, DeviceKind d) -> double {
-    const analysis::StaticCostEstimate* e =
-        program_.static_costs.find(id, static_device_key(d));
-    return e ? e->us_per_elem : -1.0;
-  };
-
-  struct Pick {
-    Artifact* artifact = nullptr;
-    double score = -1.0;  // negative → no seed; chosen by §4.2 preference
-  };
-  auto pick_for = [&](const std::string& id) {
-    Pick best;
-    Artifact* pref = nullptr;
-    for (DeviceKind d :
-         {DeviceKind::kGpu, DeviceKind::kFpga, DeviceKind::kCpu}) {
-      Artifact* a = program_.store.find(id, d);
-      if (!a) continue;
-      if (!pref) pref = a;
-      double s = seed_of(id, d);
-      if (s >= 0 && (!best.artifact || s < best.score)) best = {a, s};
-    }
-    if (!best.artifact) best.artifact = pref;
-    return best;
-  };
-
-  auto seed_entry = [&](const std::string& id, Artifact* a, double s) {
-    JsonArgs j;
-    j.add("tasks", id).add("device", to_string(a->manifest().device));
-    if (s >= 0) {
-      j.add("static_us_per_elem", s);
-    } else {
-      j.add("seeded", false);
-    }
-    return "{" + std::move(j).str() + "}";
-  };
-
-  std::vector<RtNode> out;
-  size_t i = 0;
-  while (i < g.nodes.size()) {
-    const RtNode& n = g.nodes[i];
-    if (n.kind != RtNode::Kind::kFilter || !n.relocated) {
       out.push_back(n);
       ++i;
       continue;
     }
+
+    // Maximal run of consecutive relocated filters [i, j).
     size_t j = i;
     std::vector<std::string> ids;
     while (j < g.nodes.size() && g.nodes[j].kind == RtNode::Kind::kFilter &&
@@ -1118,81 +826,137 @@ void LiquidRuntime::substitute_static_seeded(RtGraph& g) {
       ++j;
     }
 
-    // Per-filter plan: every member on its statically cheapest device.
-    std::vector<Pick> chain;
-    double chain_score = 0;
-    bool chain_scored = true;
-    for (const std::string& id : ids) {
-      Pick p = pick_for(id);
-      LM_CHECK_MSG(p.artifact != nullptr, "no artifact at all for " << id);
-      chain_scored = chain_scored && p.score >= 0;
-      if (p.score >= 0) chain_score += p.score;
-      chain.push_back(p);
-    }
-
-    // Fused plan: the whole segment, if its seed beats the chain's sum.
-    Pick fused;
+    // Plan A: the whole run as one fused segment.
+    Unit fused;
     if (ids.size() > 1 && config_.allow_fusion) {
-      fused = pick_for(ArtifactStore::segment_id(ids));
+      fused = score_unit(ArtifactStore::segment_id(ids), stream);
+    }
+    // Plan B: each filter on its own pick, the calibration stream threaded
+    // through every scored pick. Without a scorer the chain is never fully
+    // scored, so it matters only when no fused candidate exists.
+    std::vector<Unit> chain;
+    std::vector<Value> chain_stream = stream;
+    bool chain_full = scorer.has_value();
+    double chain_cost = 0;
+    if (scorer || fused.cands.empty()) {
+      for (const std::string& id : ids) {
+        Unit u = score_unit(id, chain_stream);
+        if (u.scored()) {
+          chain_cost += u.cost();
+          chain_stream = std::move(u.out);
+        } else {
+          chain_full = false;
+        }
+        chain.push_back(std::move(u));
+      }
     }
 
-    std::string joined;
-    for (size_t k = 0; k < ids.size(); ++k) {
-      if (k) joined += "+";
-      joined += ids[k];
-    }
-
+    // A fully scored plan beats a partly scored one; two fully scored
+    // plans compare by cost, fused winning ties; when neither is fully
+    // scored, the larger substitution wins (§4.2 "prefer larger").
     const bool fuse =
-        fused.artifact &&
-        (fused.score >= 0
-             ? (!chain_scored || fused.score <= chain_score)
-             : !chain_scored);  // neither scored → prefer larger (§4.2)
+        !fused.cands.empty() &&
+        (fused.scored() ? !chain_full || fused.cost() <= chain_cost
+                        : !chain_full);
+
+    // The decision event's scoreboard: both plans' totals and every
+    // candidate with its cost, or "eligible":false when unscored. A fused
+    // decision lists the losing per-filter plan too, so the trace explains
+    // *why* fusion won.
+    auto decision_args = [&](const Unit* member) -> std::string {
+      if (!tracing || !scorer) return {};
+      std::string list = "[";
+      auto add_entries = [&](const Unit& u) {
+        for (size_t c = 0; c < u.cands.size(); ++c) {
+          const Artifact* a = u.cands[c];
+          JsonArgs e;
+          e.add("tasks", a->manifest().task_id)
+              .add("device", to_string(a->manifest().device));
+          if (a->is_remote()) e.add("endpoint", a->location());
+          if (u.scores[c].scored) {
+            e.add(scorer->cost_field, u.scores[c].cost);
+          } else {
+            e.add("eligible", false);
+          }
+          if (list.size() > 1) list += ',';
+          list += '{' + std::move(e).str() + '}';
+        }
+      };
+      if (member) {
+        add_entries(*member);
+      } else {
+        add_entries(fused);
+        for (const Unit& u : chain) add_entries(u);
+      }
+      list += ']';
+      const std::string field = scorer->cost_field;
+      JsonArgs args;
+      if (fused.scored()) args.add(("fused_" + field).c_str(), fused.cost());
+      if (chain_full) args.add(("chain_" + field).c_str(), chain_cost);
+      return std::move(args.add_raw("candidates", list)).str();
+    };
+
+    // Emits one unit: a member of the chain (`filter` is its node) or the
+    // fused segment (`filter` is null).
+    auto emit = [&](const Unit& u, const RtNode* filter, std::string extra) {
+      Artifact* a = u.artifact();
+      // A node can only re-substitute toward a *measured* alternative, so
+      // it needs at least one calibrated loser besides its own pick.
+      std::vector<RtNode::ResubAlternative> alts;
+      if (calibrating && config_.enable_resubstitution) {
+        for (size_t c = 0; c < u.cands.size(); ++c) {
+          if (u.scores[c].scored) {
+            alts.push_back({u.cands[c], u.scores[c].us_per_elem});
+          }
+        }
+        if (alts.size() < 2) alts.clear();
+      }
+      // A local CPU pick stays an interpreter filter, unless it may later
+      // swap devices: then it must drain in device batches.
+      if (filter && (!a || (a->manifest().device == DeviceKind::kCpu &&
+                            !a->is_remote() && alts.empty()))) {
+        out.push_back(*filter);
+      } else {
+        RtNode dev;
+        dev.kind = RtNode::Kind::kDevice;
+        dev.artifact = a;
+        dev.arity = a->manifest().arity;
+        dev.label = a->manifest().task_id;
+        dev.fallback = filter ? fallback_for(a, {filter->task_id})
+                              : fallback_for(a, ids);
+        dev.resub_alts = std::move(alts);
+        out.push_back(std::move(dev));
+      }
+      SubstitutionRecord rec;
+      if (filter) {
+        rec.task_ids = filter->task_id;
+      } else {
+        for (size_t k = 0; k < ids.size(); ++k) {
+          if (k) rec.task_ids += "+";
+          rec.task_ids += ids[k];
+        }
+      }
+      rec.device = a ? a->manifest().device : DeviceKind::kCpu;
+      rec.fused = filter == nullptr;
+      if (u.scored()) {
+        rec.score_us_per_elem = u.scores[u.pick].us_per_elem;
+        rec.calibrated = calibrating;
+        rec.source = scorer->source;
+      }
+      rec.remote = a && a->is_remote();
+      if (rec.remote) rec.endpoint = a->location();
+      record_substitution(std::move(rec), std::move(extra));
+    };
 
     if (fuse) {
-      RtNode dev;
-      dev.kind = RtNode::Kind::kDevice;
-      dev.artifact = fused.artifact;
-      dev.arity = fused.artifact->manifest().arity;
-      dev.label = fused.artifact->manifest().task_id;
-      out.push_back(std::move(dev));
-      SubstitutionRecord rec{joined, fused.artifact->manifest().device,
-                             /*fused=*/true, fused.score,
-                             /*calibrated=*/false};
-      if (fused.score >= 0) rec.source = "static";
-      std::string extra;
-      if (tracing) {
-        JsonArgs e;
-        if (fused.score >= 0) e.add("fused_static_us", fused.score);
-        if (chain_scored) e.add("chain_static_us", chain_score);
-        extra = std::move(e).str();
-      }
-      record_substitution(std::move(rec), std::move(extra));
+      emit(fused, nullptr, decision_args(nullptr));
+      // An unscored fused pick leaves the calibration stream where it is.
+      if (fused.scored()) stream = std::move(fused.out);
     } else {
       for (size_t k = 0; k < chain.size(); ++k) {
-        const Pick& p = chain[k];
-        Artifact* a = p.artifact;
-        if (a->manifest().device == DeviceKind::kCpu) {
-          out.push_back(g.nodes[i + k]);  // keep as interpreter filter
-        } else {
-          RtNode dev;
-          dev.kind = RtNode::Kind::kDevice;
-          dev.artifact = a;
-          dev.arity = a->manifest().arity;
-          dev.label = a->manifest().task_id;
-          out.push_back(std::move(dev));
-        }
-        SubstitutionRecord rec{ids[k], a->manifest().device, /*fused=*/false,
-                               p.score, /*calibrated=*/false};
-        if (p.score >= 0) rec.source = "static";
-        std::string extra;
-        if (tracing) {
-          extra = JsonArgs()
-                      .add_raw("candidates",
-                               "[" + seed_entry(ids[k], a, p.score) + "]")
-                      .str();
-        }
-        record_substitution(std::move(rec), std::move(extra));
+        emit(chain[k], &g.nodes[i + k], decision_args(&chain[k]));
       }
+      stream = std::move(chain_stream);
     }
     i = j;
   }
@@ -1248,10 +1012,7 @@ class LiquidRuntime::DeviceRun {
   }
 
   std::vector<Value> process(std::span<const Value> batch) {
-    const TransferStats& ts = cur_->transfer_stats();
-    uint64_t to0 = ts.bytes_to_device, from0 = ts.bytes_from_device;
-    double t0_us = rec_ ? rec_->now_us() : 0;
-    auto t0 = std::chrono::steady_clock::now();
+    const BatchStart start = batch_start();
     // In-flight bracket on the entry bound at batch start: invoke() may
     // rebind cost_ mid-batch (remote fallback), and the end must land on
     // the same entry the begin did.
@@ -1267,33 +1028,7 @@ class LiquidRuntime::DeviceRun {
       InFlight guard(cost_);
       out = invoke(batch);
     }
-    auto t1 = std::chrono::steady_clock::now();
-    double dt = std::chrono::duration<double>(t1 - t0).count();
-    if (rec_) {
-      rec_->complete("task", "drain:" + cur_->manifest().task_id, t0_us,
-                     dt * 1e6,
-                     JsonArgs()
-                         .add("elements", static_cast<uint64_t>(batch.size()))
-                         .add("gid", trace_gid_)
-                         .add("node", trace_node_)
-                         .add("device", cur_->cost_label())
-                         .str());
-    }
-    uint64_t dto = ts.bytes_to_device - to0;
-    uint64_t dfrom = ts.bytes_from_device - from0;
-    cost_->record_batch(dt, batch.size(), rt_.config_.cost_ewma_alpha);
-    cost_->record_transfer(dto, dfrom);
-    rt_.hot_->device_batches->add();
-    rt_.hot_->bytes_to_device->add(dto);
-    rt_.hot_->bytes_from_device->add(dfrom);
-    ++batches_;
-    elements_ += batch.size();
-    bytes_to_ += dto;
-    bytes_from_ += dfrom;
-    obs::FlightRecorder::instance().record("task", "drain",
-                                           cur_->manifest().task_id, dt * 1e6,
-                                           batch.size(), dto + dfrom);
-    maybe_resubstitute();
+    finish_batch(*cur_, *cost_, start, batch.size());
     return out;
   }
 
@@ -1319,11 +1054,7 @@ class LiquidRuntime::DeviceRun {
     a->inputs = std::move(batch);
     a->artifact = cur_;
     a->cost = cost_;
-    a->ts = &cur_->transfer_stats();
-    a->to0 = a->ts->bytes_to_device;
-    a->from0 = a->ts->bytes_from_device;
-    a->t0_us = rec_ ? rec_->now_us() : 0;
-    a->t0 = std::chrono::steady_clock::now();
+    a->start = batch_start();
     a->ready = std::make_shared<std::atomic<bool>>(false);
     cost_->begin_batch();
     auto ready = a->ready;
@@ -1355,45 +1086,57 @@ class LiquidRuntime::DeviceRun {
     } catch (const TransportError& e) {
       a->cost->end_batch();
       if (node_.fallback == nullptr) throw;
-      obs::FlightRecorder::instance().record("fault", "remote-transport",
-                                             e.what());
-      ResubstitutionRecord rec;
-      rec.task_ids = a->artifact->manifest().task_id;
-      rec.from = a->artifact->manifest().device;
-      rec.to = node_.fallback->manifest().device;
-      rec.live_us_per_elem = a->cost->ewma_us_per_elem();
-      rec.before_p50_us = a->cost->batch_latency().percentile_us(50);
-      rec.before_p99_us = a->cost->batch_latency().percentile_us(99);
-      rec.at_batch = batches_;
-      rec.reason = "remote-failure";
-      rt_.metrics_.counter("net.remote_fallbacks").add();
-      bind(node_.fallback);
-      swapped_ = true;  // the fallback is final
-      rt_.record_resubstitution(std::move(rec));
+      fall_back(e, *a->artifact, *a->cost);
       return process(
           std::span<const Value>(a->inputs.data(), a->inputs.size()));
     } catch (...) {
       a->cost->end_batch();
       throw;
     }
-    auto t1 = std::chrono::steady_clock::now();
-    double dt = std::chrono::duration<double>(t1 - a->t0).count();
     a->cost->end_batch();
-    size_t n = a->inputs.size();
+    finish_batch(*a->artifact, *a->cost, a->start, a->inputs.size());
+    return out;
+  }
+
+ private:
+  /// What a batch's accounting needs from its start: the transfer counters
+  /// it diffs against and its start times.
+  struct BatchStart {
+    const TransferStats* ts = nullptr;
+    uint64_t to0 = 0, from0 = 0;
+    double t0_us = 0;
+    std::chrono::steady_clock::time_point t0;
+  };
+
+  BatchStart batch_start() const {
+    const TransferStats& ts = cur_->transfer_stats();
+    return {&ts, ts.bytes_to_device, ts.bytes_from_device,
+            rec_ ? rec_->now_us() : 0, std::chrono::steady_clock::now()};
+  }
+
+  /// Accounts one resolved batch of `n` elements to the artifact and cost
+  /// entry that served it: the drain span, the cost model, the marshaling
+  /// counters, the running totals and the flight record; then runs the
+  /// drift check.
+  void finish_batch(const Artifact& a, obs::CostEntry& cost,
+                    const BatchStart& start, size_t n) {
+    double dt = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start.t0)
+                    .count();
     if (rec_) {
-      rec_->complete("task", "drain:" + a->artifact->manifest().task_id,
-                     a->t0_us, dt * 1e6,
+      rec_->complete("task", "drain:" + a.manifest().task_id, start.t0_us,
+                     dt * 1e6,
                      JsonArgs()
                          .add("elements", static_cast<uint64_t>(n))
                          .add("gid", trace_gid_)
                          .add("node", trace_node_)
-                         .add("device", a->artifact->cost_label())
+                         .add("device", a.cost_label())
                          .str());
     }
-    uint64_t dto = a->ts->bytes_to_device - a->to0;
-    uint64_t dfrom = a->ts->bytes_from_device - a->from0;
-    a->cost->record_batch(dt, n, rt_.config_.cost_ewma_alpha);
-    a->cost->record_transfer(dto, dfrom);
+    uint64_t dto = start.ts->bytes_to_device - start.to0;
+    uint64_t dfrom = start.ts->bytes_from_device - start.from0;
+    cost.record_batch(dt, n, rt_.config_.cost_ewma_alpha);
+    cost.record_transfer(dto, dfrom);
     rt_.hot_->device_batches->add();
     rt_.hot_->bytes_to_device->add(dto);
     rt_.hot_->bytes_from_device->add(dfrom);
@@ -1402,13 +1145,34 @@ class LiquidRuntime::DeviceRun {
     bytes_to_ += dto;
     bytes_from_ += dfrom;
     obs::FlightRecorder::instance().record("task", "drain",
-                                           a->artifact->manifest().task_id,
-                                           dt * 1e6, n, dto + dfrom);
+                                           a.manifest().task_id, dt * 1e6, n,
+                                           dto + dfrom);
     maybe_resubstitute();
-    return out;
   }
 
- private:
+  /// A remote artifact's transport died: logs the fault, records the swap
+  /// (reason "remote-failure") against the artifact and cost entry that
+  /// failed, and binds the node's local fallback for good — no drift swaps
+  /// after this.
+  void fall_back(const TransportError& e, const Artifact& failed,
+                 const obs::CostEntry& cost) {
+    obs::FlightRecorder::instance().record("fault", "remote-transport",
+                                           e.what());
+    ResubstitutionRecord rec;
+    rec.task_ids = failed.manifest().task_id;
+    rec.from = failed.manifest().device;
+    rec.to = node_.fallback->manifest().device;
+    rec.live_us_per_elem = cost.ewma_us_per_elem();
+    rec.before_p50_us = cost.batch_latency().percentile_us(50);
+    rec.before_p99_us = cost.batch_latency().percentile_us(99);
+    rec.at_batch = batches_;
+    rec.reason = "remote-failure";
+    rt_.metrics_.counter("net.remote_fallbacks").add();
+    bind(node_.fallback);
+    swapped_ = true;
+    rt_.record_resubstitution(std::move(rec));
+  }
+
   void bind(Artifact* a) {
     cur_ = a;
     // cost_label() keeps a remote GPU's history separate from the local
@@ -1430,21 +1194,7 @@ class LiquidRuntime::DeviceRun {
     try {
       return cur_->process(batch);
     } catch (const TransportError& e) {
-      obs::FlightRecorder::instance().record("fault", "remote-transport",
-                                             e.what());
-      ResubstitutionRecord rec;
-      rec.task_ids = cur_->manifest().task_id;
-      rec.from = cur_->manifest().device;
-      rec.to = node_.fallback->manifest().device;
-      rec.live_us_per_elem = cost_->ewma_us_per_elem();
-      rec.before_p50_us = cost_->batch_latency().percentile_us(50);
-      rec.before_p99_us = cost_->batch_latency().percentile_us(99);
-      rec.at_batch = batches_;
-      rec.reason = "remote-failure";
-      rt_.metrics_.counter("net.remote_fallbacks").add();
-      bind(node_.fallback);
-      swapped_ = true;  // the fallback is final; no drift swaps after this
-      rt_.record_resubstitution(std::move(rec));
+      fall_back(e, *cur_, *cost_);
       return cur_->process(batch);
     }
   }
@@ -1493,10 +1243,7 @@ class LiquidRuntime::DeviceRun {
     std::vector<Value> inputs;  // kept for fallback replay
     Artifact* artifact = nullptr;
     obs::CostEntry* cost = nullptr;
-    const TransferStats* ts = nullptr;
-    uint64_t to0 = 0, from0 = 0;
-    double t0_us = 0;
-    std::chrono::steady_clock::time_point t0;
+    BatchStart start;
   };
 
   LiquidRuntime& rt_;

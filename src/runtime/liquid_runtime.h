@@ -274,22 +274,21 @@ class LiquidRuntime : public bc::TaskGraphHost, public bc::AccelHooks {
   struct HotCounters;
 
   std::shared_ptr<RtGraph> graph_of(const bc::Value& v);
-  /// The best artifact for (id, device) across the program store and the
-  /// remote store: remote wins over local per config_.prefer_remote (never
-  /// for kCpu — a bytecode hop across the wire is strictly worse).
-  Artifact* find_candidate(const std::string& id, DeviceKind d) const;
+  /// Substitution candidates for a task (or "seg:..." segment) id, in the
+  /// placement's preference order: its accelerators, then the local CPU
+  /// artifact. The preference policies list one artifact per device (remote
+  /// over local per config_.prefer_remote); kAdaptive lists each device's
+  /// local artifact, then — when calibrating — its remote one.
+  std::vector<Artifact*> candidates_for(const std::string& id) const;
   /// The local artifact a remote substitution falls back to when the
   /// transport dies mid-stream: the CPU artifact for a single task, or a
   /// lazily built (and cached) ChainArtifact for a fused segment.
   Artifact* fallback_for(const Artifact* chosen,
                          const std::vector<std::string>& task_ids);
-  /// §4.2 substitution: rewrites the node list in place.
+  /// §4.2 substitution: rewrites the node list in place. One rewrite for
+  /// every placement; the placement only supplies the scorer (none,
+  /// static seeds, or the calibration prefix) that costs candidates.
   void substitute(RtGraph& g);
-  /// The kAdaptive policy: profiles candidates on a stream prefix.
-  void substitute_adaptive(RtGraph& g);
-  /// kAdaptive with enable_calibration=false: ranks candidates by the
-  /// static cost seeds instead of measuring (cold-start placement).
-  void substitute_static_seeded(RtGraph& g);
   void execute(RtGraph& g);
   /// Builds the graph's task objects, wires FIFO wakers and submits
   /// everything to the shared executor (replaces thread-per-task).

@@ -235,5 +235,64 @@ TEST(Adaptive, UncalibratableRunFallsBackToStaticPreference) {
   EXPECT_TRUE(saw_scale);
 }
 
+/// A chain calibration can only partly score. The 2-element prefix cannot
+/// feed `first` (arity 4) even once, so it stays unmeasured, while `tri`
+/// (arity 2) measures on the same prefix. The fused segment — a scripted
+/// "GPU" artifact at the segment's true rate of 8 inputs per output — is
+/// unmeasurable too. Neither plan is fully scored, so the larger
+/// substitution wins (§4.2 "prefer larger"), exactly as a cold-start
+/// static ranking with partial seeds decides.
+TEST(Adaptive, PartlyCalibratedChainLosesToLargerSubstitution) {
+  CompileOptions opts;
+  opts.enable_gpu = false;
+  opts.enable_fpga = false;
+  auto cp = compile(R"(
+    class Q {
+      local static int first(int a, int b, int c, int d) { return a; }
+      local static int tri(int p, int q) { return 3 * p; }
+      static int[[]] run(int[[]] input) {
+        int[] result = new int[input.length / 8];
+        var g = input.source(1) => ([ task first ]) => ([ task tri ])
+          => result.<int>sink();
+        g.finish();
+        return new int[[]](result);
+      }
+    }
+  )", opts);
+  ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+  auto fused = std::make_unique<lm::testing::ScriptedArtifact>(
+      ArtifactStore::segment_id({"Q.first", "Q.tri"}), DeviceKind::kGpu,
+      /*arity=*/8, /*fast_calls=*/-1, std::chrono::microseconds(0));
+  const lm::testing::ScriptedArtifact* fused_ptr = fused.get();
+  cp->store.add(std::move(fused));
+
+  RuntimeConfig rc;
+  rc.placement = Placement::kAdaptive;
+  rc.calibration_elements = 2;
+  LiquidRuntime rt(*cp, rc);
+  std::vector<int32_t> input(64);
+  for (size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<int32_t>(i) - 20;
+  }
+  Value out = rt.call("Q.run", {Value::array(bc::make_i32_array(input, true))});
+  ASSERT_EQ(out.as_array()->size(), input.size() / 8);
+  for (size_t i = 0; i < input.size() / 8; ++i) {
+    EXPECT_EQ(bc::array_get(*out.as_array(), i).as_i32(), 3 * input[8 * i]);
+  }
+
+  // Only `tri`'s CPU artifact could be profiled; the decision is still
+  // the unmeasured fused segment.
+  EXPECT_EQ(rt.stats().candidates_profiled, 1u);
+  ASSERT_EQ(rt.stats().substitutions.size(), 1u);
+  const SubstitutionRecord& s = rt.stats().substitutions[0];
+  EXPECT_EQ(s.task_ids, "Q.first+Q.tri");
+  EXPECT_EQ(s.device, DeviceKind::kGpu);
+  EXPECT_TRUE(s.fused);
+  EXPECT_FALSE(s.calibrated);
+  EXPECT_LT(s.score_us_per_elem, 0.0);
+  EXPECT_EQ(s.source, "");
+  EXPECT_GT(fused_ptr->calls(), 0u);
+}
+
 }  // namespace
 }  // namespace lm::runtime

@@ -773,12 +773,16 @@ public class A {
 
 TEST(FifoEdgeCases, ZeroCapacityClampsToOne) {
   runtime::ValueFifo f(0);
-  EXPECT_TRUE(f.push(Value::i32(7)));  // must not deadlock
-  auto v = f.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->as_i32(), 7);
+  EXPECT_EQ(f.capacity(), 1u);
+  Value v = Value::i32(7);
+  // A zero-capacity queue that reported full forever would wedge its
+  // producer: it must take one value.
+  EXPECT_EQ(f.try_push(v), runtime::FifoSignal::kOk);
+  Value got;
+  ASSERT_EQ(f.try_pop(&got), runtime::FifoSignal::kOk);
+  EXPECT_EQ(got.as_i32(), 7);
   f.finish();
-  EXPECT_FALSE(f.pop().has_value());
+  EXPECT_EQ(f.try_pop(&got), runtime::FifoSignal::kEndOfStream);
 }
 
 TEST(GraphEdgeCases, DisconnectedSubgraphStillWarnsAndProgramRuns) {

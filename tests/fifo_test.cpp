@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -22,8 +25,84 @@ namespace {
 
 using bc::Value;
 
+/// A thread's stand-in for an executor task's park protocol: park only
+/// after a failed try-operation, on the ticket taken before it. A wake that
+/// lands between the failed try and the park has already moved the
+/// generation, so it is never lost.
+class Parker {
+ public:
+  uint64_t ticket() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return gen_;
+  }
+  void wake() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++gen_;
+    }
+    cv_.notify_all();
+  }
+  void park(uint64_t ticket) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return gen_ != ticket; });
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  uint64_t gen_ = 0;
+};
+
+/// A ValueFifo driven from plain threads: each side parks on the FIFO's
+/// edge-triggered wakers between failed try-operations, exactly as
+/// executor tasks do, so these tests exercise the waker protocol's
+/// no-lost-wakeup claim under real contention.
+class ParkedFifo : public ValueFifo {
+ public:
+  explicit ParkedFifo(size_t capacity) : ValueFifo(capacity) {
+    set_producer_waker([this] { producers_.wake(); });
+    set_consumer_waker([this] { consumers_.wake(); });
+  }
+
+  /// Parks while full; false once the queue is closed.
+  bool push(Value v) {
+    for (;;) {
+      uint64_t t = producers_.ticket();
+      FifoSignal s = try_push(v);
+      if (s == FifoSignal::kOk) return true;
+      if (s == FifoSignal::kShutdown) return false;
+      producers_.park(t);
+    }
+  }
+
+  /// Parks while empty and open; nullopt at end-of-stream or shutdown.
+  std::optional<Value> pop() {
+    for (;;) {
+      uint64_t t = consumers_.ticket();
+      Value v;
+      FifoSignal s = try_pop(&v);
+      if (s == FifoSignal::kOk) return v;
+      if (s != FifoSignal::kWouldBlock) return std::nullopt;
+      consumers_.park(t);
+    }
+  }
+
+  /// Parks for the first value only; empty at end-of-stream or shutdown.
+  std::vector<Value> pop_batch(size_t max) {
+    std::vector<Value> out;
+    for (;;) {
+      uint64_t t = consumers_.ticket();
+      if (try_pop_batch(max, &out) != FifoSignal::kWouldBlock) return out;
+      consumers_.park(t);
+    }
+  }
+
+ private:
+  Parker producers_, consumers_;
+};
+
 TEST(Fifo, OrderedDelivery) {
-  ValueFifo q(8);
+  ParkedFifo q(8);
   std::thread producer([&] {
     for (int i = 0; i < 1000; ++i) q.push(Value::i32(i));
     q.finish();
@@ -37,7 +116,7 @@ TEST(Fifo, OrderedDelivery) {
 }
 
 TEST(Fifo, BackpressureBlocksProducer) {
-  ValueFifo q(2);
+  ParkedFifo q(2);
   std::atomic<int> produced{0};
   std::thread producer([&] {
     for (int i = 0; i < 10; ++i) {
@@ -57,18 +136,19 @@ TEST(Fifo, BackpressureBlocksProducer) {
 }
 
 TEST(Fifo, FinishWithEmptyQueueYieldsNullopt) {
-  ValueFifo q(4);
+  ParkedFifo q(4);
   q.finish();
   EXPECT_FALSE(q.pop().has_value());
   EXPECT_FALSE(q.pop().has_value());  // idempotent
 }
 
 TEST(Fifo, CloseUnblocksProducer) {
-  ValueFifo q(1);
+  ParkedFifo q(1);
   q.push(Value::i32(0));
   std::atomic<bool> rejected{false};
   std::thread producer([&] {
-    // This push blocks (queue full) until close(), then returns false.
+    // This push parks (queue full) until close() wakes it, then returns
+    // false.
     rejected = !q.push(Value::i32(1));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -78,9 +158,9 @@ TEST(Fifo, CloseUnblocksProducer) {
 }
 
 TEST(Fifo, CloseUnblocksConsumer) {
-  ValueFifo q(4);
+  ParkedFifo q(4);
   std::thread consumer([&] {
-    auto v = q.pop();  // blocks until close
+    auto v = q.pop();  // parks until close
     EXPECT_FALSE(v.has_value());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -89,7 +169,7 @@ TEST(Fifo, CloseUnblocksConsumer) {
 }
 
 TEST(Fifo, PopBatchDrainsUpToMax) {
-  ValueFifo q(64);
+  ParkedFifo q(64);
   for (int i = 0; i < 10; ++i) q.push(Value::i32(i));
   auto batch = q.pop_batch(4);
   ASSERT_EQ(batch.size(), 4u);
@@ -100,7 +180,7 @@ TEST(Fifo, PopBatchDrainsUpToMax) {
 }
 
 TEST(Fifo, PopBatchAfterFinishReturnsEmpty) {
-  ValueFifo q(4);
+  ParkedFifo q(4);
   q.push(Value::i32(1));
   q.finish();
   EXPECT_EQ(q.pop_batch(10).size(), 1u);
@@ -108,7 +188,7 @@ TEST(Fifo, PopBatchAfterFinishReturnsEmpty) {
 }
 
 TEST(Fifo, StressManyElementsSmallCapacity) {
-  ValueFifo q(3);
+  ParkedFifo q(3);
   constexpr int kN = 50000;
   int64_t sum_in = 0, sum_out = 0;
   std::thread producer([&] {
@@ -127,7 +207,7 @@ TEST(Fifo, StressManyElementsSmallCapacity) {
 }
 
 TEST(Fifo, BatchConsumerStress) {
-  ValueFifo q(16);
+  ParkedFifo q(16);
   constexpr int kN = 20000;
   std::thread producer([&] {
     for (int i = 0; i < kN; ++i) q.push(Value::i32(1));
@@ -144,7 +224,7 @@ TEST(Fifo, BatchConsumerStress) {
 }
 
 TEST(Fifo, ZeroCapacityClampsToOne) {
-  ValueFifo q(0);
+  ParkedFifo q(0);
   EXPECT_EQ(q.capacity(), 1u);
   q.push(Value::i32(42));
   q.finish();
@@ -152,7 +232,7 @@ TEST(Fifo, ZeroCapacityClampsToOne) {
 }
 
 TEST(Fifo, HighWaterTracksPeakOccupancy) {
-  ValueFifo q(16);
+  ParkedFifo q(16);
   EXPECT_EQ(q.high_water(), 0u);
   for (int i = 0; i < 5; ++i) q.push(Value::i32(i));
   EXPECT_EQ(q.high_water(), 5u);
@@ -167,7 +247,7 @@ TEST(Fifo, HighWaterTracksPeakOccupancy) {
 }
 
 TEST(Fifo, HighWaterNeverExceedsCapacity) {
-  ValueFifo q(4);
+  ParkedFifo q(4);
   std::thread producer([&] {
     for (int i = 0; i < 1000; ++i) q.push(Value::i32(i));
     q.finish();
@@ -186,7 +266,7 @@ TEST(Fifo, MpmcHammer) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = 10000;
-  ValueFifo q(8);
+  ParkedFifo q(8);
   std::atomic<int> producers_left{kProducers};
   std::atomic<int64_t> sum_out{0};
   std::atomic<int64_t> count_out{0};
@@ -220,7 +300,7 @@ TEST(Fifo, MpmcHammer) {
 /// Capacity 1 is the degenerate fully-serialized pipe: strict alternation
 /// between producer and consumer, order preserved.
 TEST(Fifo, CapacityOnePreservesOrderUnderLoad) {
-  ValueFifo q(1);
+  ParkedFifo q(1);
   constexpr int kN = 20000;
   std::thread producer([&] {
     for (int i = 0; i < kN; ++i) q.push(Value::i32(i));
@@ -238,8 +318,8 @@ TEST(Fifo, CapacityOnePreservesOrderUnderLoad) {
 /// close() while multiple producers AND consumers are blocked: everyone
 /// must wake, producers see rejection, consumers see end-of-stream.
 TEST(Fifo, CloseWhileManyBlocked) {
-  ValueFifo q(1);
-  q.push(Value::i32(0));  // fill: further pushes block
+  ParkedFifo q(1);
+  q.push(Value::i32(0));  // fill: further pushes park
 
   std::atomic<int> rejected{0};
   std::atomic<int> woke_empty{0};
@@ -250,7 +330,7 @@ TEST(Fifo, CloseWhileManyBlocked) {
     });
   }
   // A second queue whose consumers block on empty.
-  ValueFifo empty_q(4);
+  ParkedFifo empty_q(4);
   for (int i = 0; i < 3; ++i) {
     threads.emplace_back([&] {
       if (!empty_q.pop().has_value()) woke_empty.fetch_add(1);
@@ -272,7 +352,7 @@ TEST(FifoShutdown, CloseDiscardsQueuedValues) {
   // consumer at shutdown could observe data from a producer that had
   // already been torn down — or block forever waiting for the rest of a
   // stream that would never come. Closed means dead, immediately.
-  ValueFifo q(4);
+  ParkedFifo q(4);
   q.push(Value::i32(1));
   q.push(Value::i32(2));
   q.close();
@@ -286,10 +366,10 @@ TEST(FifoShutdown, CloseDiscardsQueuedValues) {
 }
 
 TEST(FifoShutdown, ConsumerBlockedAtShutdownNeverHangs) {
-  // A consumer already parked in a blocking pop when close() arrives must
-  // observe the shutdown (nullopt), not data and not a hang. A hang here
-  // trips the per-test ctest timeout.
-  ValueFifo q(4);
+  // A consumer already parked in pop when close() arrives must observe the
+  // shutdown (nullopt), not data and not a hang: close() fires the consumer
+  // waker. A hang here trips the per-test ctest timeout.
+  ParkedFifo q(4);
   std::atomic<bool> observed_shutdown{false};
   std::thread consumer([&] {
     observed_shutdown.store(!q.pop().has_value());
@@ -304,7 +384,7 @@ TEST(FifoShutdown, ConsumerBlockedAtShutdownNeverHangs) {
 TEST(FifoShutdown, CloseAfterFinishStillDiscardsBufferedTail) {
   // finish() promises the buffered values will be delivered; a later
   // close() (error unwind) revokes that promise — the error path must win.
-  ValueFifo q(4);
+  ParkedFifo q(4);
   q.push(Value::i32(7));
   q.finish();
   q.close();
@@ -493,7 +573,7 @@ TEST(FifoBatch, PopBatchFromFullFiresProducerWakerOncePerBatch) {
 /// the FIFOs themselves observed: a tiny capacity forces the high-water
 /// mark to exactly that capacity on a long stream.
 TEST(Fifo, RuntimeHighWaterMetricMatchesObservation) {
-  ValueFifo q(2);
+  ParkedFifo q(2);
   constexpr int kN = 5000;
   std::thread producer([&] {
     for (int i = 0; i < kN; ++i) q.push(Value::i32(i));

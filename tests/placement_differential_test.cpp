@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <memory>
 
 #include "runtime/liquid_runtime.h"
@@ -281,6 +283,138 @@ TEST(PlacementDifferential, DriftSwapsDeviceMidRunAndKeepsOutputExact) {
                         {Value::array(bc::make_i32_array(input, true))});
   EXPECT_TRUE(results_match(out2, out, 0.0));
   EXPECT_TRUE(rt2.stats().resubstitutions.empty());
+}
+
+/// Renders a runtime's substitution log field by field, one record per
+/// "task_ids|device|fused|score|calibrated|source|remote" group, ';'-joined.
+std::string render_decisions(const runtime::RuntimeStats& stats) {
+  std::string out;
+  for (const runtime::SubstitutionRecord& s : stats.substitutions) {
+    char score[32];
+    std::snprintf(score, sizeof score, "%.6g", s.score_us_per_elem);
+    if (!out.empty()) out += ';';
+    out += s.task_ids + '|' + to_string(s.device) + '|' +
+           (s.fused ? "fused" : "single") + '|' + score + '|' +
+           (s.calibrated ? "cal" : "uncal") + '|' + s.source + '|' +
+           (s.remote ? "remote" : "local");
+  }
+  return out;
+}
+
+/// Pins every deterministic placement decision (no calibration timing in
+/// play) across the pipeline suite: the preference policies and the
+/// static-seed cold start, with and without fusion. Substitution is one
+/// rewrite fed by per-policy scorers; these goldens are what the rewrite
+/// must keep deciding.
+TEST(PlacementDecisions, DeterministicPoliciesMatchGoldens) {
+  struct Policy {
+    const char* label;
+    Placement placement;
+    bool calibrate;
+  };
+  constexpr Policy kPolicies[] = {
+      {"auto", Placement::kAuto, true},
+      {"gpu", Placement::kGpuOnly, true},
+      {"fpga", Placement::kFpgaOnly, true},
+      {"cpu", Placement::kCpuOnly, true},
+      {"static", Placement::kAdaptive, false},
+  };
+  const std::map<std::string, std::string> kGolden = {
+      {"intpipe/auto/fused",
+       "IntPipe.scale+IntPipe.clamp+IntPipe.offset|gpu/opencl|fused|-1|uncal||local"},
+      {"intpipe/auto/nofusion",
+       "IntPipe.scale|gpu/opencl|single|-1|uncal||local;"
+       "IntPipe.clamp|gpu/opencl|single|-1|uncal||local;"
+       "IntPipe.offset|gpu/opencl|single|-1|uncal||local"},
+      {"intpipe/gpu/fused",
+       "IntPipe.scale+IntPipe.clamp+IntPipe.offset|gpu/opencl|fused|-1|uncal||local"},
+      {"intpipe/gpu/nofusion",
+       "IntPipe.scale|gpu/opencl|single|-1|uncal||local;"
+       "IntPipe.clamp|gpu/opencl|single|-1|uncal||local;"
+       "IntPipe.offset|gpu/opencl|single|-1|uncal||local"},
+      {"intpipe/fpga/fused",
+       "IntPipe.scale+IntPipe.clamp+IntPipe.offset|fpga/verilog|fused|-1|uncal||local"},
+      {"intpipe/fpga/nofusion",
+       "IntPipe.scale|fpga/verilog|single|-1|uncal||local;"
+       "IntPipe.clamp|fpga/verilog|single|-1|uncal||local;"
+       "IntPipe.offset|fpga/verilog|single|-1|uncal||local"},
+      {"intpipe/cpu/fused",
+       "IntPipe.scale|cpu/bytecode|single|-1|uncal||local;"
+       "IntPipe.clamp|cpu/bytecode|single|-1|uncal||local;"
+       "IntPipe.offset|cpu/bytecode|single|-1|uncal||local"},
+      {"intpipe/cpu/nofusion",
+       "IntPipe.scale|cpu/bytecode|single|-1|uncal||local;"
+       "IntPipe.clamp|cpu/bytecode|single|-1|uncal||local;"
+       "IntPipe.offset|cpu/bytecode|single|-1|uncal||local"},
+      {"intpipe/static/fused",
+       "IntPipe.scale+IntPipe.clamp+IntPipe.offset|gpu/opencl|fused|0.042|uncal|static|local"},
+      {"intpipe/static/nofusion",
+       "IntPipe.scale|gpu/opencl|single|0.17|uncal|static|local;"
+       "IntPipe.clamp|gpu/opencl|single|0.222|uncal|static|local;"
+       "IntPipe.offset|gpu/opencl|single|0.17|uncal|static|local"},
+      {"crc8pipe/auto/fused",
+       "Crc8.crc8|gpu/opencl|single|-1|uncal||local"},
+      {"crc8pipe/auto/nofusion",
+       "Crc8.crc8|gpu/opencl|single|-1|uncal||local"},
+      {"crc8pipe/gpu/fused",
+       "Crc8.crc8|gpu/opencl|single|-1|uncal||local"},
+      {"crc8pipe/gpu/nofusion",
+       "Crc8.crc8|gpu/opencl|single|-1|uncal||local"},
+      {"crc8pipe/fpga/fused",
+       "Crc8.crc8|fpga/verilog|single|-1|uncal||local"},
+      {"crc8pipe/fpga/nofusion",
+       "Crc8.crc8|fpga/verilog|single|-1|uncal||local"},
+      {"crc8pipe/cpu/fused",
+       "Crc8.crc8|cpu/bytecode|single|-1|uncal||local"},
+      {"crc8pipe/cpu/nofusion",
+       "Crc8.crc8|cpu/bytecode|single|-1|uncal||local"},
+      {"crc8pipe/static/fused",
+       "Crc8.crc8|gpu/opencl|single|0.878|uncal|static|local"},
+      {"crc8pipe/static/nofusion",
+       "Crc8.crc8|gpu/opencl|single|0.878|uncal|static|local"},
+      {"bitpipe/auto/fused",
+       "BitPipe.flip|gpu/opencl|single|-1|uncal||local"},
+      {"bitpipe/auto/nofusion",
+       "BitPipe.flip|gpu/opencl|single|-1|uncal||local"},
+      {"bitpipe/gpu/fused",
+       "BitPipe.flip|gpu/opencl|single|-1|uncal||local"},
+      {"bitpipe/gpu/nofusion",
+       "BitPipe.flip|gpu/opencl|single|-1|uncal||local"},
+      {"bitpipe/fpga/fused",
+       "BitPipe.flip|fpga/verilog|single|-1|uncal||local"},
+      {"bitpipe/fpga/nofusion",
+       "BitPipe.flip|fpga/verilog|single|-1|uncal||local"},
+      {"bitpipe/cpu/fused",
+       "BitPipe.flip|cpu/bytecode|single|-1|uncal||local"},
+      {"bitpipe/cpu/nofusion",
+       "BitPipe.flip|cpu/bytecode|single|-1|uncal||local"},
+      {"bitpipe/static/fused",
+       "BitPipe.flip|gpu/opencl|single|0.17|uncal|static|local"},
+      {"bitpipe/static/nofusion",
+       "BitPipe.flip|gpu/opencl|single|0.17|uncal|static|local"},
+  };
+  runtime::CompileOptions copts;
+  copts.use_native_kernels = false;  // independent of registry state
+  for (const Workload& w : pipeline_suite()) {
+    auto cp = runtime::compile(w.lime_source, copts);
+    ASSERT_TRUE(cp->ok()) << w.name;
+    for (const Policy& p : kPolicies) {
+      for (bool fusion : {true, false}) {
+        RuntimeConfig rc;
+        rc.placement = p.placement;
+        rc.enable_calibration = p.calibrate;
+        rc.allow_fusion = fusion;
+        LiquidRuntime rt(*cp, rc);
+        rt.call(w.entry, w.make_args(64, 5));
+        const std::string key = w.name + "/" + p.label +
+                                (fusion ? "/fused" : "/nofusion");
+        auto it = kGolden.find(key);
+        const std::string got = render_decisions(rt.stats());
+        EXPECT_TRUE(it != kGolden.end() && it->second == got)
+            << "      {\"" << key << "\",\n       \"" << got << "\"},";
+      }
+    }
+  }
 }
 
 }  // namespace
